@@ -54,8 +54,17 @@ constexpr std::array<Row, 22> kRows = {{
     {"output_sample",         512,  44, MK::kUniversal,       false, false, MK::kUniversal,       sim::DurationModel::kFixed,        0,   0.5, ""},
 }};
 
-std::string transfer_array(std::size_t i) { return "T" + std::to_string(i); }
-std::string private_array(std::size_t i) { return "U" + std::to_string(i); }
+/// `prefix` followed by the decimal `i`. Appends to the prefix instead of
+/// `"T" + std::to_string(i)`, whose inlined insert-at-front GCC 12 -O3
+/// misreads as an overlapping memcpy (-Werror=restrict).
+std::string numbered(char prefix, std::size_t i) {
+  std::string s(1, prefix);
+  s += std::to_string(i);
+  return s;
+}
+
+std::string transfer_array(std::size_t i) { return numbered('T', i); }
+std::string private_array(std::size_t i) { return numbered('U', i); }
 
 /// Effective mapping used for declared accesses (what the data actually
 /// does, independent of any serial action in between).

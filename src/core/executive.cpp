@@ -966,10 +966,19 @@ void ExecutiveCore::setup_identity(Run& cur, Run& succ) {
   // Live current descriptors partition the un-completed granules; each gets
   // a tracking successor piece on its conflict queue. Index iteration over a
   // snapshot length: make_desc appends to succ.live, never to cur.live.
+  // A descriptor parked for a fault retry (kHeld in retry_queue_) still owns
+  // its range: its successor piece is released by the retry's completion,
+  // exactly like an assigned one's, and nothing else would ever enable it.
+  auto parked_for_retry = [this](const Descriptor* d) {
+    return std::any_of(retry_queue_.begin(), retry_queue_.end(),
+                       [d](const RetryEntry& e) { return e.desc == d; });
+  };
   const std::size_t n_live = cur.live.size();
   for (std::size_t i = 0; i < n_live; ++i) {
     Descriptor* L = cur.live[i];
-    if (L->state != DescState::kWaiting && L->state != DescState::kAssigned) continue;
+    if (L->state != DescState::kWaiting && L->state != DescState::kAssigned &&
+        !(L->state == DescState::kHeld && parked_for_retry(L)))
+      continue;
     Descriptor& piece = make_desc(succ, L->range, Priority::kNormal);
     piece.tracks_owner = true;
     piece.state = DescState::kConflicted;

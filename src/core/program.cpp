@@ -10,8 +10,6 @@ PhaseId PhaseProgram::define_phase(PhaseSpec spec) {
   return static_cast<PhaseId>(phases_.size() - 1);
 }
 
-std::uint32_t PhaseProgram::halt() { return add(HaltNode{}); }
-
 PhaseId PhaseProgram::phase_by_name(const std::string& name) const {
   for (std::size_t i = 0; i < phases_.size(); ++i)
     if (phases_[i].name == name) return static_cast<PhaseId>(i);

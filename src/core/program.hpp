@@ -103,8 +103,14 @@ class PhaseProgram {
   [[nodiscard]] std::size_t phase_count() const { return phases_.size(); }
   [[nodiscard]] PhaseId phase_by_name(const std::string& name) const;
 
-  std::uint32_t add(ProgramNode node) {
-    nodes_.push_back(std::move(node));
+  /// Append a node: a ProgramNode or any one of its alternatives. The node
+  /// is constructed in place from its alternative, never moved from a
+  /// temporary variant — GCC 12 -O3 flags that move of a variant whose
+  /// alternative it can see as reading uninitialized storage
+  /// (-Werror=maybe-uninitialized).
+  template <class Node>
+  std::uint32_t add(Node&& node) {
+    nodes_.emplace_back(std::forward<Node>(node));
     return static_cast<std::uint32_t>(nodes_.size() - 1);
   }
 
@@ -123,7 +129,7 @@ class PhaseProgram {
     return add(BranchNode{std::move(name), std::move(selector), std::move(targets),
                           phase_independent});
   }
-  std::uint32_t halt();  // out of line: avoids a GCC-12 variant false positive
+  std::uint32_t halt() { return add(HaltNode{}); }
 
   [[nodiscard]] const ProgramNode& node(std::uint32_t i) const {
     PAX_CHECK(i < nodes_.size());

@@ -72,6 +72,8 @@ class ShardLockTimer {
 
 std::uint32_t ShardConfig::resolve(GranuleId max_granules) const {
   PAX_CHECK_MSG(workers > 0, "shard config needs at least one worker");
+  PAX_CHECK_MSG(batch != kAutoBatch,
+                "kAutoBatch is resolved by the threaded runtime; pass a count");
   const GranuleId cap = std::max<GranuleId>(1, max_granules);
   if (shards == kAutoShards) {
     // One worker has nothing to decontend; give it the exact single-lock

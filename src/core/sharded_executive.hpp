@@ -90,6 +90,13 @@ namespace pax {
 /// PAX_CHECK it — so a config bug can never silently mean "auto".
 inline constexpr std::uint32_t kAutoShards = 0xFFFFFFFFu;
 
+/// Sentinel for a runtime's refill batch (rt::RtConfig::batch,
+/// sched::DispatchConfig::batch): size each refill from measured body and
+/// control-section cost instead of a fixed count (sched::refill_target).
+/// The runtime resolves it to a concrete ShardConfig::batch; 0 stays
+/// invalid.
+inline constexpr std::uint32_t kAutoBatch = 0xFFFFFFFFu;
+
 struct ShardConfig {
   /// Number of independent shards; kAutoShards = 2x workers (1 for a single
   /// worker, where there is nothing to decontend), clamped to [1, largest
@@ -97,7 +104,9 @@ struct ShardConfig {
   /// phase granule count.
   std::uint32_t shards = kAutoShards;
   std::uint32_t workers = 4;
-  /// Scatter/flush scaling unit (the driver's retire batch).
+  /// Scatter/flush scaling unit (the runtime's retire batch). Must be a
+  /// concrete count: rt::ThreadedRuntime under kAutoBatch passes half its
+  /// 64-slot local queue, so depth 32 and flush 64.
   std::uint32_t batch = 1;
   /// Per-shard ready-buffer cap; 0 = auto (= batch). Bounds how much work is
   /// pre-carved ahead of execution, so rundown tails are not locked into
@@ -320,6 +329,18 @@ class ShardedExecutive {
   }
 
   [[nodiscard]] ShardStatsView stats() const;
+
+  /// Mean control-section time so far (acquire-to-release ns per section,
+  /// ControlTimer's measure), 0 before the first section. Two relaxed
+  /// loads: a moment-stale mean only nudges one refill's size.
+  [[nodiscard]] double mean_control_ns() const {
+    const std::uint64_t n =
+        stats_.control_acquisitions.load(std::memory_order_relaxed);
+    if (n == 0) return 0.0;
+    return static_cast<double>(
+               stats_.control_hold_ns.load(std::memory_order_relaxed)) /
+           static_cast<double>(n);
+  }
 
   /// The wrapped core, for driver setup (observer, ledger) and post-run
   /// reads. NOT synchronized: callers touch it only while the executive is

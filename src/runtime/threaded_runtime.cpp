@@ -20,6 +20,14 @@ RtConfig validated(RtConfig c) {
   return c;
 }
 
+/// The shard geometry's scaling unit. An explicit batch keeps depth = batch
+/// and flush = 2x batch; kAutoBatch sizes the rings for its 64-slot local
+/// queues: depth 32, flush 64, deposit rings holding every worker's full
+/// queue of tickets (ShardConfig sizes them from 2x batch per worker).
+std::uint32_t shard_batch(const RtConfig& c) {
+  return c.batch == kAutoBatch ? sched::kAutoRefillMax / 2 : c.batch;
+}
+
 /// The runtime's fault knobs are authoritative: mirror them into the
 /// executive config so callers tune retry policy in one place (RtConfig),
 /// exactly like workers/batch/shards.
@@ -56,7 +64,7 @@ ThreadedRuntime::ThreadedRuntime(const PhaseProgram& program, ExecConfig config,
       exec_(program, with_fault_knobs(config, rt_config_), costs,
             ShardConfig{.shards = rt_config_.shards,
                         .workers = rt_config_.workers,
-                        .batch = rt_config_.batch,
+                        .batch = shard_batch(rt_config_),
                         .lockfree = rt_config_.lockfree,
                         .trace = rt_config_.trace}),
       dispatcher_(sched::DispatchConfig{.workers = rt_config_.workers,
@@ -76,10 +84,6 @@ ThreadedRuntime::ThreadedRuntime(const PhaseProgram& program, ExecConfig config,
   mid_.wait_wakeups = metrics_.register_counter("worker.wait_wakeups");
   mid_.faulted = metrics_.register_counter("worker.faulted");
   metrics_.bind(rt_config_.workers);
-}
-
-void ThreadedRuntime::set_observer(std::function<void(const ExecEvent&)> obs) {
-  observer_fn_ = std::move(obs);
 }
 
 void ThreadedRuntime::wake_all() {
@@ -134,7 +138,8 @@ void ThreadedRuntime::worker_main(WorkerId id) {
   while (true) {
     // Deposit the previous drain's tickets and refill the local run-queue:
     // home shard first, sibling shards next, control sweep as the fallback.
-    const sched::RefillOutcome rr = dispatcher_.refill(exec_, id, done);
+    // Under kAutoBatch this worker's body stats size the refill.
+    const sched::RefillOutcome rr = dispatcher_.refill(exec_, id, done, stats);
     const bool announce =
         rr.completion.new_work || rr.completion.program_finished;
 
@@ -236,19 +241,13 @@ RtResult ThreadedRuntime::run() {
 
   // Install the event-sink chain before the program starts: trace sink first
   // (structural events onto the control-track ring), forwarding to the user
-  // sink or the observer shim. SAFETY: quiescent core access — no worker
-  // thread exists yet.
-  ExecEventSink* tail = user_sink_;
-  if (tail == nullptr && observer_fn_) {
-    observer_shim_ = std::make_unique<FunctionEventSink>(std::move(observer_fn_));
-    tail = observer_shim_.get();
-  }
+  // sink. SAFETY: quiescent core access — no worker thread exists yet.
   if (rt_config_.trace != nullptr) {
     trace_sink_ = std::make_unique<obs::TraceEventSink>(
-        rt_config_.trace->control_ring(), obs::kNoTraceJob, tail);
+        rt_config_.trace->control_ring(), obs::kNoTraceJob, user_sink_);
     exec_.core_unsynchronized().set_event_sink(trace_sink_.get());
-  } else if (tail != nullptr) {
-    exec_.core_unsynchronized().set_event_sink(tail);
+  } else if (user_sink_ != nullptr) {
+    exec_.core_unsynchronized().set_event_sink(user_sink_);
   }
 
   const auto wall0 = std::chrono::steady_clock::now();

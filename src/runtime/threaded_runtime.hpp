@@ -37,7 +37,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -55,14 +54,20 @@ namespace pax::rt {
 
 struct RtConfig {
   std::uint32_t workers = 4;
-  /// Refill floor and the no-steal queue capacity; with stealing on, one
-  /// critical section may retire/pull up to the queue capacity (2x batch by
-  /// default — over-refill absorbed by steals). batch 1 with steal off =
-  /// the classic single-item handoff.
-  std::uint32_t batch = 1;
-  /// Per-worker local run-queue capacity; 0 = auto (2x batch with stealing —
-  /// over-refill absorbed by steals — or exactly batch without, which
-  /// reproduces the PR 1 batched protocol).
+  /// Refill size. kAutoBatch (default): every refill asks for
+  /// ceil(workers * S / b) assignments clamped to [1, 64] — S the mean
+  /// control-section ns the executive measures, b this worker's body ns per
+  /// assignment, 1 until both have a sample (sched::refill_target) — out of
+  /// a fixed 64-slot local queue, over shard rings of depth 32 and flush 64.
+  /// An explicit count keeps the fixed geometry: refill floor and no-steal
+  /// queue capacity; with stealing on, one refill may pull up to the queue
+  /// capacity (2x batch — over-refill absorbed by steals); shard depth =
+  /// batch, flush = 2x batch. batch 1 with steal off = the classic
+  /// single-item handoff. 0 is invalid and fails at construction.
+  std::uint32_t batch = kAutoBatch;
+  /// Per-worker local run-queue capacity; 0 = auto (64 under kAutoBatch;
+  /// otherwise 2x batch with stealing — over-refill absorbed by steals — or
+  /// exactly batch without, which reproduces the original batched protocol).
   std::uint32_t queue_capacity = 0;
   /// Executive shards (independently-locked granule-handout partitions).
   /// kAutoShards = 2x workers clamped to the largest phase (1 for a single
@@ -195,17 +200,10 @@ class ThreadedRuntime {
   /// (bodies execute with no executive lock held).
   void submit_conflicting(RunId blocker, PhaseId phase, GranuleRange range);
 
-  /// Optional: installed on the core as a FunctionEventSink (called under
-  /// the executive control mutex; keep it cheap). Must be set before run().
-  /// Compatibility shim for the retired `core.observer` std::function hook;
-  /// new code should prefer install_event_sink(). NOTE the ExecEvent::text
-  /// borrow rule applies: the view is valid only for the callback's
-  /// duration — copy it to keep it.
-  void set_observer(std::function<void(const ExecEvent&)> obs);
-
-  /// Optional: install a raw sink (non-owning; must outlive run()). Mutually
-  /// chained with tracing — when RtConfig::trace is set, the trace sink runs
-  /// first and forwards every event here.
+  /// Optional: install a raw sink (non-owning; must outlive run()), called
+  /// under the executive control mutex — keep it cheap. Must be set before
+  /// run(). Chained with tracing: when RtConfig::trace is set, the trace
+  /// sink runs first and forwards every event here.
   void install_event_sink(ExecEventSink* sink) { user_sink_ = sink; }
 
  private:
@@ -233,9 +231,7 @@ class ThreadedRuntime {
 
   /// Event-sink chain storage. The core holds raw pointers into these, so
   /// they live on the runtime, installed at run() entry: trace sink first
-  /// (when RtConfig::trace is set), then the user sink / observer shim.
-  std::function<void(const ExecEvent&)> observer_fn_;
-  std::unique_ptr<FunctionEventSink> observer_shim_;
+  /// (when RtConfig::trace is set), then the user sink.
   std::unique_ptr<obs::TraceEventSink> trace_sink_;
   ExecEventSink* user_sink_ = nullptr;
 

@@ -1,10 +1,19 @@
 #include "sched/dispatcher.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.hpp"
 
 namespace pax::sched {
+
+std::size_t refill_target(std::uint32_t workers, double control_ns,
+                          double body_ns) {
+  if (!(control_ns > 0.0) || !(body_ns > 0.0)) return 1;
+  const double want = std::ceil(static_cast<double>(workers) * control_ns / body_ns);
+  return static_cast<std::size_t>(
+      std::clamp(want, 1.0, static_cast<double>(kAutoRefillMax)));
+}
 
 Dispatcher::Dispatcher(DispatchConfig config)
     : config_(config),
@@ -15,7 +24,7 @@ Dispatcher::Dispatcher(DispatchConfig config)
       window_size_(std::max<std::uint64_t>(16, 4ull * config.workers)) {
   PAX_CHECK_MSG(config_.workers > 0, "need at least one worker");
   PAX_CHECK_MSG(config_.batch > 0, "batch must be at least 1");
-  PAX_CHECK_MSG(capacity_ >= config_.batch,
+  PAX_CHECK_MSG(config_.auto_batch() || capacity_ >= config_.batch,
                 "local queue capacity below the retire batch");
   queues_.reserve(config_.workers);
   for (std::uint32_t w = 0; w < config_.workers; ++w) {
@@ -59,7 +68,8 @@ RefillOutcome Dispatcher::refill(ExecutiveCore& core, WorkerId w,
 }
 
 RefillOutcome Dispatcher::refill(ShardedExecutive& ex, WorkerId w,
-                                 std::vector<Ticket>& done) {
+                                 std::vector<Ticket>& done,
+                                 const BodyLoopStats& body) {
   RefillOutcome out;
   if (config_.adaptive_grain) {
     // configured_grain() is constant after construction; the annotated
@@ -70,7 +80,16 @@ RefillOutcome Dispatcher::refill(ShardedExecutive& ex, WorkerId w,
     ex.set_grain_limit(std::max<GranuleId>(1, base >> shift));
   }
 
-  const std::size_t room = capacity_ - std::min(capacity_, queues_[w]->size());
+  std::size_t room = capacity_ - std::min(capacity_, queues_[w]->size());
+  if (config_.auto_batch()) {
+    // Two relaxed loads and this worker's own counters: no clock read.
+    const double body_ns =
+        body.tasks == 0 ? 0.0
+                        : static_cast<double>(body.busy.count()) /
+                              static_cast<double>(body.tasks);
+    room = std::min(room,
+                    refill_target(config_.workers, ex.mean_control_ns(), body_ns));
+  }
   if (room == 0 && done.empty()) return out;
   std::vector<Assignment>& buf = scratch_[w];
   buf.clear();

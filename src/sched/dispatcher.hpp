@@ -26,7 +26,10 @@
 // absorbed-by-local-scheduling move of the virtual-processors SPMD line.
 // With stealing disabled the capacity defaults to exactly `batch`, which
 // reproduces the PR 1 batched protocol on the same machinery (how bench_t8
-// baselines the layer).
+// baselines the layer). Under kAutoBatch the queue has a fixed
+// kAutoRefillMax slots and each sharded refill asks for refill_target()
+// assignments, worked out from the measured control-section and body cost
+// (DESIGN.md §6).
 //
 // rt::ThreadedRuntime drives one dispatcher for its one core; each
 // pool::PoolRuntime job owns one dispatcher for its own core, so stealing
@@ -49,14 +52,28 @@
 
 namespace pax::sched {
 
+/// Local run-queue capacity and refill ceiling under kAutoBatch.
+inline constexpr std::uint32_t kAutoRefillMax = 64;
+
+/// The kAutoBatch refill rule: ask for ceil(workers * S / b) assignments,
+/// clamped to [1, kAutoRefillMax], where `control_ns` (S) is the mean
+/// control-section time and `body_ns` (b) the mean body time per assignment.
+/// A refill that big keeps the control plane's serial share of each
+/// worker's time below its body share even when every worker queues at the
+/// control mutex. 1 until both means have a sample (a non-positive mean).
+[[nodiscard]] std::size_t refill_target(std::uint32_t workers, double control_ns,
+                                        double body_ns);
+
 struct DispatchConfig {
   std::uint32_t workers = 4;
   /// Finished tickets retired per executive critical section (and the refill
-  /// floor — see effective_capacity()).
+  /// floor — see effective_capacity()). kAutoBatch: each sharded refill asks
+  /// for refill_target() assignments, measured per call, out of a fixed
+  /// kAutoRefillMax-slot local queue.
   std::uint32_t batch = 1;
   /// Per-worker local run-queue slots. 0 = auto: 2x batch with stealing
   /// (over-refill absorbed by steals), exactly batch without (the PR 1
-  /// batched protocol).
+  /// batched protocol), kAutoRefillMax under kAutoBatch.
   std::uint32_t queue_capacity = 0;
   /// Rundown work stealing between peer local queues.
   bool steal = true;
@@ -70,8 +87,10 @@ struct DispatchConfig {
   /// Job lane tag on emitted records (the pool sets its job id here).
   std::uint64_t trace_job = obs::kNoTraceJob;
 
+  [[nodiscard]] bool auto_batch() const { return batch == kAutoBatch; }
   [[nodiscard]] std::size_t effective_capacity() const {
     if (queue_capacity != 0) return queue_capacity;
+    if (auto_batch()) return kAutoRefillMax;
     return steal ? std::size_t{2} * batch : std::size_t{batch};
   }
 };
@@ -119,8 +138,11 @@ class Dispatcher {
   /// to `ex`; the caller holds nothing. The adaptive grain limit is
   /// published through the core's atomic before the pull, which is exactly
   /// why the limit had to stop being a plain field: this store races with
-  /// a sweeping peer's request path.
-  RefillOutcome refill(ShardedExecutive& ex, WorkerId w, std::vector<Ticket>& done);
+  /// a sweeping peer's request path. Under kAutoBatch the pull is capped at
+  /// refill_target(workers, ex.mean_control_ns(), `body`'s ns per task);
+  /// `body` is worker `w`'s own accumulated body-loop stats.
+  RefillOutcome refill(ShardedExecutive& ex, WorkerId w, std::vector<Ticket>& done,
+                       const BodyLoopStats& body = {});
 
   /// Owner pop from `w`'s local queue (LIFO end; executive handout order).
   bool pop_local(WorkerId w, Assignment& out) {

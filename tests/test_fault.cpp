@@ -12,6 +12,7 @@
 #include <chrono>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "pool/pool_runtime.hpp"
 #include "runtime/threaded_runtime.hpp"
@@ -141,10 +142,18 @@ TEST_P(FaultEngine, MapFnThrowDegradesEdgeAndCompletes) {
   PhaseProgram prog;
   const PhaseId a = prog.define_phase(make_phase("a", 32).writes("X"));
   const PhaseId b = prog.define_phase(make_phase("b", 32).reads("X"));
+  // The map is built in executive idle time, which exists only while some
+  // of `a` is still running. The body holding a's last granule therefore
+  // waits until the callback has been tried (bounded, so a regression fails
+  // the assertions below instead of hanging): idle time is established by
+  // handshake, not by how fast the other workers drain their refills.
+  std::atomic<bool> map_tried{false};
   EnableClause clause;
   clause.successor_name = "b";
   clause.kind = MappingKind::kReverseIndirect;
-  clause.indirection.requires_of = [](GranuleId, std::vector<GranuleId>&) {
+  clause.indirection.requires_of = [&map_tried](GranuleId,
+                                                std::vector<GranuleId>&) {
+    map_tried.store(true, std::memory_order_release);
     throw std::runtime_error("map callback exploded");
   };
   prog.dispatch(a, {clause});
@@ -153,10 +162,19 @@ TEST_P(FaultEngine, MapFnThrowDegradesEdgeAndCompletes) {
 
   std::atomic<std::uint64_t> executed{0};
   rt::BodyTable bodies;
-  for (PhaseId p : {a, b})
-    bodies.set(p, [&executed](GranuleRange r, WorkerId) {
-      executed.fetch_add(r.size(), std::memory_order_relaxed);
-    });
+  bodies.set(a, [&](GranuleRange r, WorkerId) {
+    if (r.hi == 32) {
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds{10};
+      while (!map_tried.load(std::memory_order_acquire) &&
+             std::chrono::steady_clock::now() < give_up)
+        std::this_thread::yield();
+    }
+    executed.fetch_add(r.size(), std::memory_order_relaxed);
+  });
+  bodies.set(b, [&executed](GranuleRange r, WorkerId) {
+    executed.fetch_add(r.size(), std::memory_order_relaxed);
+  });
   rt::RtConfig rc;
   rc.workers = 3;
   rc.lockfree = lockfree();

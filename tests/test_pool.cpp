@@ -275,15 +275,20 @@ TEST(PoolCompletion, ManyConcurrentJobsAllCompleteWithExactAccounting) {
 // --- scheduling order on a single worker (deterministic) --------------------
 
 /// Submit a gate job that pins the only worker, queue three single-phase
-/// jobs, release the gate, and observe the rotation order by recording body
-/// executions.
+/// jobs once the worker is inside the gate body, release the gate, and
+/// observe the rotation order by recording body executions. Waiting for
+/// the blocker to be entered is what makes the order deterministic: a job
+/// submitted before the worker picked the blocker would compete with it,
+/// and the policy under test may rightly run it first.
 std::vector<int> run_three_jobs_under(SchedPolicy policy) {
   SinglePhase gate_prog = make_single_phase(1);
   SinglePhase jobs_prog[3] = {make_single_phase(4), make_single_phase(4),
                               make_single_phase(4)};
   std::atomic<bool> gate{false};
+  std::atomic<bool> blocker_entered{false};
   rt::BodyTable gate_bodies;
-  gate_bodies.set(gate_prog.p, [&gate](GranuleRange, WorkerId) {
+  gate_bodies.set(gate_prog.p, [&gate, &blocker_entered](GranuleRange, WorkerId) {
+    blocker_entered.store(true, std::memory_order_release);
     while (!gate.load(std::memory_order_acquire)) std::this_thread::yield();
   });
 
@@ -299,6 +304,8 @@ std::vector<int> run_three_jobs_under(SchedPolicy policy) {
   PoolRuntime pool({.workers = 1, .batch = 4, .policy = policy});
   ExecConfig cfg;
   JobHandle blocker = pool.submit(gate_prog.prog, gate_bodies, cfg);
+  while (!blocker_entered.load(std::memory_order_acquire))
+    std::this_thread::yield();
   // Priorities: job0 low, job1 high, job2 mid — submission order 0,1,2.
   const int prio[3] = {1, 9, 5};
   JobHandle handles[3];
@@ -460,9 +467,11 @@ void run_mid_run_cancel(bool lockfree) {
   constexpr GranuleId kN = 64;
   SinglePhase s = make_single_phase(kN);
   std::atomic<bool> gate{false};
+  std::atomic<std::uint64_t> entered{0};
   std::atomic<std::uint64_t> executed{0};
   rt::BodyTable bodies;
   bodies.set(s.p, [&](GranuleRange r, WorkerId) {
+    entered.fetch_add(1, std::memory_order_release);
     while (!gate.load(std::memory_order_acquire)) std::this_thread::yield();
     executed.fetch_add(r.size(), std::memory_order_relaxed);
   });
@@ -472,10 +481,12 @@ void run_mid_run_cancel(bool lockfree) {
   cfg.grain = 1;  // one granule per assignment: fine-grained recall coverage
   JobHandle h = pool.submit(s.prog, bodies, cfg);
 
-  // Both workers are now (or will shortly be) parked inside bodies with
-  // granules resident in their local queues and the bulk still sharded in
-  // the executive.
-  while (h.state() != JobState::kRunning) std::this_thread::yield();
+  // Wait until at least one body is in flight: its unretired ticket keeps
+  // the job from finalizing until the gate opens, so the cancel below is
+  // provably mid-run. (A cancel landing before any granule is in flight
+  // legitimately finalizes at once.) The bulk of the phase is still
+  // sharded in the executive.
+  while (entered.load(std::memory_order_acquire) == 0) std::this_thread::yield();
   EXPECT_TRUE(h.cancel());
   EXPECT_FALSE(h.cancel());  // the mid-run cancel is won exactly once
   EXPECT_FALSE(h.done());    // still draining: terminal comes from a worker
@@ -638,8 +649,10 @@ TEST(PoolDeadline, EdfOrdersRotationsByDeadline) {
   SinglePhase jobs_prog[3] = {make_single_phase(4), make_single_phase(4),
                               make_single_phase(4)};
   std::atomic<bool> gate{false};
+  std::atomic<bool> blocker_entered{false};
   rt::BodyTable gate_bodies;
-  gate_bodies.set(gate_prog.p, [&gate](GranuleRange, WorkerId) {
+  gate_bodies.set(gate_prog.p, [&gate, &blocker_entered](GranuleRange, WorkerId) {
+    blocker_entered.store(true, std::memory_order_release);
     while (!gate.load(std::memory_order_acquire)) std::this_thread::yield();
   });
 
@@ -657,6 +670,10 @@ TEST(PoolDeadline, EdfOrdersRotationsByDeadline) {
                     .policy = SchedPolicy::kDeadline});
   ExecConfig cfg;
   JobHandle blocker = pool.submit(gate_prog.prog, gate_bodies, cfg);
+  // Handshake, as in run_three_jobs_under: jobs 0-2 queue behind a worker
+  // already pinned inside the deadline-free blocker.
+  while (!blocker_entered.load(std::memory_order_acquire))
+    std::this_thread::yield();
   const std::chrono::seconds deadlines[3] = {std::chrono::seconds{200},
                                              std::chrono::seconds{300},
                                              std::chrono::seconds{100}};

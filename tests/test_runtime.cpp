@@ -401,7 +401,14 @@ TEST(RtSubmitConflicting, ElevatedReleaseOrderingEndToEnd) {
 
   ExecConfig cfg;
   cfg.grain = 8;
-  ThreadedRuntime runtime(prog, cfg, CostModel::free_of_charge(), bodies, {1});
+  // Single-item handoff: the b pieces already queued behind a's tail are
+  // still waiting when a's last ticket retires. A larger refill (such as
+  // the kAutoBatch default) legitimately hands some of them out alongside
+  // a's tail, before the release the ordering below is about.
+  RtConfig rc;
+  rc.workers = 1;
+  rc.batch = 1;
+  ThreadedRuntime runtime(prog, cfg, CostModel::free_of_charge(), bodies, rc);
   rt_ptr = &runtime;
   const RtResult res = runtime.run();
   EXPECT_EQ(res.granules_executed, 2u * n + m);
@@ -447,7 +454,13 @@ TEST(RtSubmitConflicting, ImmediateWhenBlockerAlreadyComplete) {
 
   ExecConfig cfg;
   cfg.grain = 8;
-  ThreadedRuntime runtime(prog, cfg, CostModel::free_of_charge(), bodies, {1});
+  // Single-item handoff keeps the path above deterministic: a larger refill
+  // (such as the kAutoBatch default) can hand a b piece out alongside a's
+  // last piece, before a's run completes.
+  RtConfig rc;
+  rc.workers = 1;
+  rc.batch = 1;
+  ThreadedRuntime runtime(prog, cfg, CostModel::free_of_charge(), bodies, rc);
   rt_ptr = &runtime;
   const RtResult res = runtime.run();
   EXPECT_EQ(res.granules_executed, 2u * n + m);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "pool/pool_runtime.hpp"
@@ -431,6 +432,88 @@ TEST(Dispatcher, SingleShardRefillMatchesDirectCoreProtocol) {
   }
   EXPECT_TRUE(core.finished());
   EXPECT_TRUE(ex.finished());
+}
+
+// --- measured refill size (kAutoBatch) --------------------------------------
+
+TEST(RefillTarget, OneBeforeEitherMeanHasASample) {
+  EXPECT_EQ(sched::refill_target(4, 0.0, 0.0), 1u);
+  EXPECT_EQ(sched::refill_target(4, 0.0, 500.0), 1u);  // no control sample
+  EXPECT_EQ(sched::refill_target(4, 500.0, 0.0), 1u);  // no body sample
+}
+
+TEST(RefillTarget, ClampedToOneAndTheQueueCap) {
+  // ceil(workers * S / b) inside the clamp.
+  EXPECT_EQ(sched::refill_target(4, 250.0, 100.0), 10u);
+  EXPECT_EQ(sched::refill_target(1, 100.0, 100.0), 1u);
+  EXPECT_EQ(sched::refill_target(2, 101.0, 100.0), 3u);
+  // Expensive bodies: never below one assignment.
+  EXPECT_EQ(sched::refill_target(4, 1.0, 1e9), 1u);
+  // Cheap bodies behind a slow control plane: never past the queue cap.
+  EXPECT_EQ(sched::refill_target(4, 1e9, 1.0), sched::kAutoRefillMax);
+  EXPECT_EQ(sched::refill_target(4, 1e6, 1e-6), sched::kAutoRefillMax);
+}
+
+TEST(RefillTarget, MonotoneInControlToBodyRatio) {
+  for (std::uint32_t workers : {1u, 2u, 4u, 8u}) {
+    std::size_t prev = 0;
+    for (double ratio = 1e-3; ratio < 1e3; ratio *= 1.25) {
+      const std::size_t t = sched::refill_target(workers, ratio * 100.0, 100.0);
+      EXPECT_GE(t, prev) << "workers " << workers << " ratio " << ratio;
+      EXPECT_GE(t, 1u);
+      EXPECT_LE(t, sched::kAutoRefillMax);
+      prev = t;
+    }
+    EXPECT_EQ(prev, sched::kAutoRefillMax);
+  }
+}
+
+TEST(Dispatcher, AutoBatchRefillStartsAtOneThenFollowsMeasuredCost) {
+  SinglePhase s = make_single_phase(256);
+  ExecConfig cfg;
+  cfg.grain = 1;
+  sched::Dispatcher d({.workers = 2, .batch = kAutoBatch});
+  EXPECT_EQ(d.capacity(), std::size_t{sched::kAutoRefillMax});
+  ShardedExecutive ex(s.prog, cfg, CostModel::free_of_charge(),
+                      {.shards = 2, .workers = 2, .batch = 32});
+  ex.start();
+
+  // No body sample yet: one assignment, whatever the control plane costs.
+  std::vector<Ticket> done;
+  EXPECT_EQ(d.refill(ex, 0, done).refilled, 1u);
+  EXPECT_GT(ex.mean_control_ns(), 0.0);  // start() and the sweep were timed
+  auto drain = [&] {
+    Assignment a;
+    while (d.pop_local(0, a)) done.push_back(a.ticket);
+  };
+
+  // Bodies far dearer than a control section: still one at a time.
+  drain();
+  sched::BodyLoopStats dear;
+  dear.busy = std::chrono::hours{1};
+  dear.tasks = 1;
+  EXPECT_EQ(d.refill(ex, 0, done, dear).refilled, 1u);
+
+  // Bodies far cheaper: a bulk refill, bounded by the queue cap (the home
+  // ring holds one scatter depth, 32).
+  drain();
+  sched::BodyLoopStats cheap;
+  cheap.busy = std::chrono::nanoseconds{1};
+  cheap.tasks = 1000;
+  const sched::RefillOutcome bulk = d.refill(ex, 0, done, cheap);
+  EXPECT_GT(bulk.refilled, 1u);
+  EXPECT_LE(bulk.refilled, std::size_t{sched::kAutoRefillMax});
+  EXPECT_EQ(d.occupancy(0), bulk.refilled);
+}
+
+TEST(ShardedExecutiveDeathTest, RejectsUnresolvedAutoBatch) {
+  // The sentinel sizes refills in the runtime; as a shard geometry it would
+  // size the rings for four billion tickets per worker.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  SinglePhase s = make_single_phase(8);
+  EXPECT_DEATH(ShardedExecutive(s.prog, ExecConfig{}, CostModel::free_of_charge(),
+                                {.workers = 2, .batch = kAutoBatch}),
+               "kAutoBatch is resolved by the threaded runtime");
 }
 
 // --- threaded runtime with stealing on ---------------------------------------

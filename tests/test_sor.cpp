@@ -62,10 +62,15 @@ TEST(Sor, SequentialConverges) {
   EXPECT_LT(residual, 1e-6);
 }
 
-class SorParity : public ::testing::TestWithParam<std::tuple<int, bool, int>> {};
+/// Workers, overlap, sweeps, and the threaded runtime's refill batch: the
+/// default kAutoBatch (refills sized from measured body and control-section
+/// cost) or the explicit single-item handoff.
+using SorParam = std::tuple<int, bool, int, std::uint32_t>;
+
+class SorParity : public ::testing::TestWithParam<SorParam> {};
 
 TEST_P(SorParity, ThreadedMatchesSequentialBitwise) {
-  const auto [workers, overlap, sweeps] = GetParam();
+  const auto [workers, overlap, sweeps, batch] = GetParam();
   const std::uint32_t nx = 22, ny = 16;
   const double omega = 1.4;
 
@@ -79,8 +84,11 @@ TEST_P(SorParity, ThreadedMatchesSequentialBitwise) {
   cfg.grain = 8;
   cfg.overlap = overlap;
   cfg.early_serial = true;  // allow cross-sweep overlap through the loop
+  rt::RtConfig rc;
+  rc.workers = static_cast<std::uint32_t>(workers);
+  rc.batch = batch;
   rt::ThreadedRuntime runtime(sp.program, cfg, CostModel::free_of_charge(),
-                              sp.bodies, {static_cast<std::uint32_t>(workers)});
+                              sp.bodies, rc);
   rt::RtResult res = runtime.run();
 
   EXPECT_EQ(res.granules_executed,
@@ -90,20 +98,30 @@ TEST_P(SorParity, ThreadedMatchesSequentialBitwise) {
   EXPECT_TRUE(Grid::identical(reference, parallel))
       << "max diff: " << Grid::max_diff(reference, parallel);
   EXPECT_TRUE(res.diagnostics.empty());
+  // Queue geometry: 64 slots under auto, 2x batch with stealing otherwise.
+  EXPECT_LE(res.peak_local_queue,
+            batch == kAutoBatch ? std::uint64_t{sched::kAutoRefillMax}
+                                : std::uint64_t{2} * batch);
 }
 
-std::string sor_parity_name(
-    const ::testing::TestParamInfo<std::tuple<int, bool, int>>& info) {
-  return "w" + std::to_string(std::get<0>(info.param)) +
-         (std::get<1>(info.param) ? "_overlap" : "_barrier") + "_s" +
-         std::to_string(std::get<2>(info.param));
+std::string sor_parity_name(const ::testing::TestParamInfo<SorParam>& info) {
+  // Appended piecewise: GCC 12 -O3 misreads `"w" + std::to_string(...)` as
+  // an overlapping memcpy (-Werror=restrict).
+  std::string name = "w";
+  name += std::to_string(std::get<0>(info.param));
+  name += std::get<1>(info.param) ? "_overlap" : "_barrier";
+  name += "_s";
+  name += std::to_string(std::get<2>(info.param));
+  name += std::get<3>(info.param) == kAutoBatch ? "_auto" : "_batch1";
+  return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SorParity,
-    ::testing::Combine(::testing::Values(1, 2, 4, 8),       // workers
+    ::testing::Combine(::testing::Values(1, 2, 3, 4, 8),    // workers
                        ::testing::Values(false, true),      // overlap
-                       ::testing::Values(1, 3, 6)),         // sweeps
+                       ::testing::Values(1, 3, 6),          // sweeps
+                       ::testing::Values(kAutoBatch, 1u)),  // batch
     sor_parity_name);
 
 TEST(Sor, SimulatedOverlapBeatsBarrierDuringRundown) {

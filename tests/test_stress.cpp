@@ -125,6 +125,12 @@ TEST(Stress, PinnedIndirectElevation) { pax::testing::run_seed(7); }
 TEST(Stress, PinnedDeferredSplit) { pax::testing::run_seed(23); }
 TEST(Stress, PinnedPoolCancel) { pax::testing::run_seed(42); }
 TEST(Stress, PinnedExplicitShards) { pax::testing::run_seed(58); }
+// A granule of phase 2 faults while phase 3's identity overlap is set up:
+// the retry-parked descriptor must still get its tracking successor piece,
+// or phase 3 never finishes (the run hangs with every worker asleep).
+TEST(Stress, PinnedFaultRetryUnderIdentityOverlap) {
+  pax::testing::run_fault_checked(3495);
+}
 
 }  // namespace
 }  // namespace pax

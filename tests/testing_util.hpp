@@ -6,7 +6,8 @@
 // granule counts, enablement mappings with random fan-in/fan-out, serial
 // actions, executive knobs) plus driver configs (workers, batch, shards,
 // steal), and the harness runs the *same* program through all three
-// runtimes — rt::ThreadedRuntime, pool::PoolRuntime and sim::Machine —
+// runtimes — rt::ThreadedRuntime (with the seeded batch and again with its
+// default measured refill sizing), pool::PoolRuntime and sim::Machine —
 // cross-checking the invariants the scheduler stack promises:
 //
 //   * every granule of every phase retired exactly once (per-granule atomic
@@ -70,6 +71,15 @@ struct GeneratedProgram {
   std::uint32_t sim_shards = 1;
 };
 
+/// `prefix` followed by the decimal `i`, built by appending: GCC 12 -O3
+/// misreads the inlined insert-at-front of `"p" + std::to_string(i)` as an
+/// overlapping memcpy (-Werror=restrict).
+inline std::string numbered(const char* prefix, std::uint64_t i) {
+  std::string s(prefix);
+  s += std::to_string(i);
+  return s;
+}
+
 /// Deterministic program + config from one seed.
 inline GeneratedProgram generate_program(std::uint64_t seed) {
   GeneratedProgram g;
@@ -82,10 +92,9 @@ inline GeneratedProgram generate_program(std::uint64_t seed) {
   const std::size_t n_phases = pick(2, 4);
   for (std::size_t i = 0; i < n_phases; ++i) {
     const GranuleId n = static_cast<GranuleId>(pick(4, 96));
-    const std::string name = "p" + std::to_string(i);
+    const std::string name = numbered("p", i);
     g.phases.push_back(g.program.define_phase(
-        make_phase(name, n).reads("D" + std::to_string(i)).writes(
-            "D" + std::to_string(i + 1))));
+        make_phase(name, n).reads(numbered("D", i)).writes(numbered("D", i + 1))));
     g.granules.push_back(n);
     g.total += n;
   }
@@ -95,7 +104,7 @@ inline GeneratedProgram generate_program(std::uint64_t seed) {
     if (i + 1 < n_phases) {
       const std::uint64_t kind = pick(0, 4);
       EnableClause clause;
-      clause.successor_name = "p" + std::to_string(i + 1);
+      clause.successor_name = numbered("p", i + 1);
       const GranuleId cur_n = g.granules[i];
       const GranuleId succ_n = g.granules[i + 1];
       switch (kind) {
@@ -141,7 +150,7 @@ inline GeneratedProgram generate_program(std::uint64_t seed) {
     }
     g.program.dispatch(g.phases[i], std::move(enables));
     if (i + 1 < n_phases && pick(0, 3) == 0) {
-      g.program.serial("s" + std::to_string(i), {}, /*sim_duration=*/pick(0, 40),
+      g.program.serial(numbered("s", i), {}, /*sim_duration=*/pick(0, 40),
                        /*conflicts=*/pick(0, 1) == 1);
     }
   }
@@ -352,14 +361,16 @@ inline rt::BodyTable make_faulty_bodies(const GeneratedProgram& g,
 }
 
 /// Run one generated program through the threaded runtime and check the
-/// invariants. Returns the result for further inspection.
-inline rt::RtResult run_threaded_checked(const GeneratedProgram& g) {
+/// invariants. Returns the result for further inspection. `auto_batch` runs
+/// the runtime's default measured refill sizing instead of `g.batch`.
+inline rt::RtResult run_threaded_checked(const GeneratedProgram& g,
+                                         bool auto_batch = false) {
   ExecutionRecorder rec(g.granules);
   std::atomic<std::uint64_t> sink{0};
   rt::BodyTable bodies = make_recording_bodies(g, rec, sink);
   rt::RtConfig rc;
   rc.workers = g.workers;
-  rc.batch = g.batch;
+  rc.batch = auto_batch ? kAutoBatch : g.batch;
   rc.shards = g.shards;
   rc.lockfree = g.lockfree;
   rc.steal = g.steal;
@@ -715,6 +726,7 @@ inline void run_seed(std::uint64_t seed) {
                " ctest -R stress)");
   const GeneratedProgram g = generate_program(seed);
   run_threaded_checked(g);
+  run_threaded_checked(g, /*auto_batch=*/true);
   run_pool_checked(g);
   run_sim_checked(g);
 }
